@@ -6,16 +6,18 @@
 //!
 //! - [`EnvObjective`] abstracts what the bi-level loop needs from a model
 //!   family: per-environment loss, gradient, and Hessian-vector product
-//!   over a flat parameter vector;
+//!   over a flat parameter vector (re-exported from the loop's module,
+//!   along with the production [`LinearObjective`]);
 //! - [`MlpModel`] is a one-hidden-layer tanh network over the multi-hot
 //!   leaf features, with exact backprop gradients and a central
 //!   finite-difference HVP (two extra gradient evaluations — the standard
 //!   approximation when an R-operator is not implemented);
-//! - [`light_mirm_generic`] runs Algorithm 2 against any [`EnvObjective`].
+//! - [`light_mirm_generic`] runs Algorithm 2 against any [`EnvObjective`]
+//!   through the same loop that trains
+//!   [`crate::trainers::LightMirmTrainer`].
 //!
-//! The linear fast path in [`crate::trainers`] remains the production
-//! trainer; a test here shows the MLP head solving a leaf-interaction
-//! (XOR) problem that no linear head can represent, trained with the same
+//! A test here shows the MLP head solving a leaf-interaction (XOR)
+//! problem that no linear head can represent, trained with the same
 //! LightMIRM loop.
 
 use rand::Rng;
@@ -24,83 +26,10 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::env::EnvDataset;
 use crate::lr::sigmoid;
-use crate::mrq::MetaReplayQueue;
-use crate::trainers::TrainConfig;
+use crate::trainers::bilevel::BiLevel;
+use crate::trainers::{LightMirmTrainer, TrainConfig};
 
-/// What the generic bi-level loop needs from a model family.
-pub trait EnvObjective {
-    /// Flat parameter dimension.
-    fn dim(&self) -> usize;
-
-    /// Mean loss of `theta` over the given rows.
-    fn loss(&self, theta: &[f64], rows: &[u32]) -> f64;
-
-    /// Gradient of [`EnvObjective::loss`], written into `out`.
-    fn grad(&self, theta: &[f64], rows: &[u32], out: &mut [f64]);
-
-    /// Hessian-vector product of the loss at `theta` applied to `v`.
-    /// The default implementation is a central finite difference of the
-    /// gradient — exact up to `O(ε²)` and always available.
-    fn hvp(&self, theta: &[f64], rows: &[u32], v: &[f64], out: &mut [f64]) {
-        let eps = 1e-5;
-        let mut plus = theta.to_vec();
-        let mut minus = theta.to_vec();
-        for ((p, m), &vi) in plus.iter_mut().zip(minus.iter_mut()).zip(v) {
-            *p += eps * vi;
-            *m -= eps * vi;
-        }
-        let mut g_plus = vec![0.0; theta.len()];
-        let mut g_minus = vec![0.0; theta.len()];
-        self.grad(&plus, rows, &mut g_plus);
-        self.grad(&minus, rows, &mut g_minus);
-        for ((o, gp), gm) in out.iter_mut().zip(&g_plus).zip(&g_minus) {
-            *o = (gp - gm) / (2.0 * eps);
-        }
-    }
-}
-
-/// The linear (logistic-regression) objective as an [`EnvObjective`] —
-/// the production fast path expressed through the generic interface, used
-/// to verify that [`light_mirm_generic`] and
-/// [`crate::trainers::LightMirmTrainer`] are the same algorithm.
-pub struct LinearObjective<'d> {
-    data: &'d EnvDataset,
-    /// L2 regularization.
-    pub reg: f64,
-}
-
-impl<'d> LinearObjective<'d> {
-    /// Build the linear objective over a dataset.
-    pub fn new(data: &'d EnvDataset, reg: f64) -> Self {
-        LinearObjective { data, reg }
-    }
-}
-
-impl EnvObjective for LinearObjective<'_> {
-    fn dim(&self) -> usize {
-        self.data.n_cols()
-    }
-
-    fn loss(&self, theta: &[f64], rows: &[u32]) -> f64 {
-        crate::lr::env_loss(theta, &self.data.x, &self.data.labels, rows, self.reg)
-    }
-
-    fn grad(&self, theta: &[f64], rows: &[u32], out: &mut [f64]) {
-        crate::lr::env_grad(theta, &self.data.x, &self.data.labels, rows, self.reg, out);
-    }
-
-    fn hvp(&self, theta: &[f64], rows: &[u32], v: &[f64], out: &mut [f64]) {
-        crate::lr::env_hvp(
-            theta,
-            &self.data.x,
-            &self.data.labels,
-            rows,
-            self.reg,
-            v,
-            out,
-        );
-    }
-}
+pub use crate::trainers::bilevel::{EnvObjective, LinearObjective};
 
 /// A one-hidden-layer tanh MLP over multi-hot rows:
 /// `p = σ(b₂ + w₂ · tanh(b₁ + W₁ x))`.
@@ -229,8 +158,15 @@ impl EnvObjective for MlpModel<'_> {
 }
 
 /// Algorithm 2 over any [`EnvObjective`]: environment sampling, the MRQ,
-/// σ-weighted outer steps, gradients through the inner step via the
-/// objective's HVP. Returns the trained flat parameter vector.
+/// σ-weighted outer steps with momentum, gradients through the inner step
+/// via the objective's HVP — the loop of
+/// [`crate::trainers::LightMirmTrainer`] with the same draws. Returns the
+/// trained flat parameter vector.
+///
+/// # Panics
+///
+/// Panics when `theta0.len() != objective.dim()`, no environment has
+/// data, `mrq_len == 0`, or `gamma` is outside `(0, 1]`.
 pub fn light_mirm_generic<O: EnvObjective>(
     objective: &O,
     data: &EnvDataset,
@@ -239,61 +175,13 @@ pub fn light_mirm_generic<O: EnvObjective>(
     mrq_len: usize,
     gamma: f64,
 ) -> Vec<f64> {
-    let envs = data.active_envs();
-    assert!(!envs.is_empty(), "no populated environment");
-    let dim = objective.dim();
-    assert_eq!(theta0.len(), dim, "theta0 must match the objective dim");
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut theta = theta0;
-    let mut queues: Vec<MetaReplayQueue> =
-        envs.iter().map(|_| MetaReplayQueue::new(mrq_len)).collect();
-
-    let mut inner_grad = vec![0.0; dim];
-    let mut u = vec![0.0; dim];
-    let mut hvp_buf = vec![0.0; dim];
-    let mut outer = vec![0.0; dim];
-
-    for _epoch in 0..config.epochs {
-        let mut theta_bars: Vec<Vec<f64>> = Vec::with_capacity(envs.len());
-        let mut sampled: Vec<usize> = Vec::with_capacity(envs.len());
-        for (i, &m) in envs.iter().enumerate() {
-            objective.grad(&theta, data.env_rows(m), &mut inner_grad);
-            let mut bar = theta.clone();
-            for (b, &g) in bar.iter_mut().zip(&inner_grad) {
-                *b -= config.inner_lr * g;
-            }
-            theta_bars.push(bar);
-            let s_m = if envs.len() == 1 {
-                m
-            } else {
-                loop {
-                    let cand = envs[rng.gen_range(0..envs.len())];
-                    if cand != m {
-                        break cand;
-                    }
-                }
-            };
-            sampled.push(s_m);
-            let loss = objective.loss(&theta_bars[i], data.env_rows(s_m));
-            queues[i].push(loss);
-        }
-        let metas: Vec<f64> = queues.iter().map(|q| q.replayed_mean(gamma)).collect();
-        let coefs = crate::trainers::sigma_coefficients(&metas, config.lambda);
-        outer.fill(0.0);
-        for (i, &m) in envs.iter().enumerate() {
-            let w_new = queues[i].newest_weight(gamma);
-            objective.grad(&theta_bars[i], data.env_rows(sampled[i]), &mut u);
-            objective.hvp(&theta, data.env_rows(m), &u, &mut hvp_buf);
-            let scale = coefs[i] * w_new;
-            for ((o, &ui), &hv) in outer.iter_mut().zip(&u).zip(&hvp_buf) {
-                *o += scale * (ui - config.inner_lr * hv);
-            }
-        }
-        for (t, &g) in theta.iter_mut().zip(&outer) {
-            *t -= config.outer_lr * g;
-        }
+    let trainer = LightMirmTrainer::with_mrq(config.clone(), mrq_len, gamma);
+    BiLevel {
+        trainer: "lightmirm-generic",
+        ..trainer.bilevel()
     }
-    theta
+    .run(objective, data, theta0, None)
+    .0
 }
 
 #[cfg(test)]
@@ -431,26 +319,74 @@ mod tests {
         );
     }
 
+    /// The logistic head through the serial `lr::env_*` reference,
+    /// implementing only `loss`/`grad`/`hvp`: the loop then runs on the
+    /// trait's default cached methods.
+    struct ReferenceObjective<'d> {
+        data: &'d EnvDataset,
+        reg: f64,
+    }
+
+    impl EnvObjective for ReferenceObjective<'_> {
+        fn dim(&self) -> usize {
+            self.data.n_cols()
+        }
+
+        fn loss(&self, theta: &[f64], rows: &[u32]) -> f64 {
+            crate::lr::env_loss(theta, &self.data.x, &self.data.labels, rows, self.reg)
+        }
+
+        fn grad(&self, theta: &[f64], rows: &[u32], out: &mut [f64]) {
+            crate::lr::env_grad(theta, &self.data.x, &self.data.labels, rows, self.reg, out);
+        }
+
+        fn hvp(&self, theta: &[f64], rows: &[u32], v: &[f64], out: &mut [f64]) {
+            let (x, y) = (&self.data.x, &self.data.labels);
+            crate::lr::env_hvp(theta, x, y, rows, self.reg, v, out);
+        }
+    }
+
     #[test]
-    fn generic_loop_with_linear_objective_matches_production_trainer() {
-        // The same seeds drive the same sampling sequence, so the generic
-        // loop over LinearObjective must reproduce LightMirmTrainer's
-        // weights bit for bit.
-        let data = xor_world();
+    fn default_cached_methods_reproduce_the_production_trainer() {
+        // Four environments, so each s_m is a real draw among three, and
+        // one kernel chunk each, where the kernels equal the serial
+        // reference bit for bit.
+        let mut idx = Vec::new();
+        let mut labels = Vec::new();
+        let mut envs = Vec::new();
+        for k in 0..1_600u64 {
+            let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            idx.extend_from_slice(&[(h >> 20) as u32 % 6, 6 + (h >> 40) as u32 % 6]);
+            labels.push(((h >> 8) % 3 == 0) as u8);
+            envs.push((k % 4) as u16);
+        }
+        let x = MultiHotMatrix::new(idx, 2, 12).expect("well-formed");
+        let names = (0..4).map(|e| format!("e{e}")).collect();
+        let data = EnvDataset::new(x, labels, envs, names).expect("aligned");
+        assert!(data.active_envs().len() >= 3);
+        assert!(data
+            .active_envs()
+            .iter()
+            .all(|&m| data.env_rows(m).len() <= crate::kernels::CHUNK_ROWS));
+
         let cfg = TrainConfig {
             epochs: 12,
             inner_lr: 0.2,
             outer_lr: 0.4,
             lambda: 0.5,
             reg: 1e-3,
-            momentum: 0.0,
+            momentum: 0.9,
             seed: 21,
         };
         let production = crate::trainers::LightMirmTrainer::new(cfg.clone()).fit(&data, None);
-        let objective = LinearObjective::new(&data, cfg.reg);
-        let generic =
+        let objective = ReferenceObjective {
+            data: &data,
+            reg: cfg.reg,
+        };
+        let reference =
             light_mirm_generic(&objective, &data, vec![0.0; objective.dim()], &cfg, 5, 0.9);
-        assert_eq!(production.model.global().weights, generic);
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&production.model.global().weights), bits(&reference));
     }
 
     #[test]

@@ -7,18 +7,16 @@
 //! flamegraph-collapsed stack lines (`a;b;c <self_us>`, one per stack
 //! path) that feed straight into `inferno`/`flamegraph.pl`/speedscope.
 //!
-//! Reconstruction exploits how spans record: a span is recorded when it
-//! *closes*, carrying its own depth on the recording thread, and
-//! children close before their parent. So, scanning one thread's records
-//! in sequence order, a closing span at depth `d` is the parent of every
-//! not-yet-adopted closed span at depth `d + 1` seen so far — no span
-//! ids needed. Spans whose parents never closed inside the ring window
-//! (truncation, still-open spans) are kept as roots.
+//! Reconstruction follows span ids: every record names the span it
+//! nested under, including spans opened on another thread inside a
+//! parallel fan-out (see [`crate::obs::trace::SpanContext`]), so the tree
+//! survives any thread schedule. Spans whose parents never closed inside
+//! the ring window (truncation, still-open spans) are kept as roots.
 
 use super::trace::{EventKind, TraceEvent};
 use crate::timing::Histogram;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Aggregated statistics for one `span!` site (by name).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -123,9 +121,8 @@ impl Profile {
     /// assumed ordered by `seq` as the ring provides.
     pub fn build(records: &[TraceEvent]) -> Profile {
         let mut nodes: Vec<Node> = Vec::new();
-        // Per-thread completed subtree roots awaiting a parent:
-        // (depth, node index), in record order.
-        let mut pending: BTreeMap<u64, Vec<(u32, usize)>> = BTreeMap::new();
+        let mut parents: Vec<Option<u64>> = Vec::new();
+        let mut by_id: HashMap<u64, usize> = HashMap::new();
         let mut event_counts: BTreeMap<String, u64> = BTreeMap::new();
 
         for ev in records {
@@ -133,26 +130,22 @@ impl Profile {
                 *event_counts.entry(ev.name.clone()).or_insert(0) += 1;
                 continue;
             }
-            let slot = pending.entry(ev.thread).or_default();
-            // Adopt every completed subtree one level deeper: children
-            // close before their parent, so anything still pending at
-            // depth+1 on this thread belongs to this span.
-            let mut children = Vec::new();
-            slot.retain(|&(d, idx)| {
-                if d == ev.depth + 1 {
-                    children.push(idx);
-                    false
-                } else {
-                    true
-                }
-            });
-            let idx = nodes.len();
+            by_id.insert(ev.id, nodes.len());
+            parents.push(ev.parent);
             nodes.push(Node {
                 name: ev.name.clone(),
                 dur_ns: ev.dur_ns,
-                children,
+                children: Vec::new(),
             });
-            slot.push((ev.depth, idx));
+        }
+        // Children close before their parent, so adopt only once every
+        // record is indexed; a parent outside the window makes a root.
+        let mut roots = Vec::new();
+        for (idx, parent) in parents.iter().enumerate() {
+            match parent.and_then(|p| by_id.get(&p)) {
+                Some(&p) => nodes[p].children.push(idx),
+                None => roots.push(idx),
+            }
         }
 
         // Per-site accumulation.
@@ -175,12 +168,7 @@ impl Profile {
             }
         }
 
-        // Collapsed stacks: depth-first from the leftover roots (any
-        // pending entry whose parent never closed is a root).
-        let roots: Vec<usize> = pending
-            .values()
-            .flat_map(|v| v.iter().map(|&(_, idx)| idx))
-            .collect();
+        // Collapsed stacks: depth-first from the roots.
         let mut paths: BTreeMap<String, u64> = BTreeMap::new();
         let mut stack: Vec<(usize, String)> = roots
             .iter()
@@ -272,10 +260,21 @@ impl Profile {
 mod tests {
     use super::*;
 
-    fn span(seq: u64, thread: u64, depth: u32, name: &str, dur_ns: u64) -> TraceEvent {
+    /// A span record; its id is `seq + 100`, its parent the span whose
+    /// id is `parent`.
+    fn span(
+        seq: u64,
+        thread: u64,
+        parent: Option<u64>,
+        depth: u32,
+        name: &str,
+        dur_ns: u64,
+    ) -> TraceEvent {
         TraceEvent {
             seq,
             thread,
+            id: seq + 100,
+            parent,
             depth,
             kind: EventKind::Span,
             name: name.to_string(),
@@ -288,6 +287,8 @@ mod tests {
         TraceEvent {
             seq,
             thread,
+            id: 0,
+            parent: None,
             depth: 0,
             kind: EventKind::Event,
             name: name.to_string(),
@@ -299,11 +300,11 @@ mod tests {
     /// Two `outer` calls, each with one `inner` child, plus an instant.
     fn demo_ring() -> Vec<TraceEvent> {
         vec![
-            span(0, 0, 1, "inner", 300),
-            span(1, 0, 0, "outer", 1_000),
+            span(0, 0, Some(101), 1, "inner", 300),
+            span(1, 0, None, 0, "outer", 1_000),
             instant(2, 0, "tick"),
-            span(3, 0, 1, "inner", 500),
-            span(4, 0, 0, "outer", 2_000),
+            span(3, 0, Some(104), 1, "inner", 500),
+            span(4, 0, None, 0, "outer", 2_000),
         ]
     }
 
@@ -344,7 +345,7 @@ mod tests {
         let total_self: u64 = p.sites.iter().map(|s| s.self_ns).sum();
         let total_root: u64 = ring
             .iter()
-            .filter(|e| e.kind == EventKind::Span && e.depth == 0)
+            .filter(|e| e.kind == EventKind::Span && e.parent.is_none())
             .map(|e| e.dur_ns)
             .sum();
         assert_eq!(total_self, total_root);
@@ -354,10 +355,10 @@ mod tests {
     fn threads_are_reconstructed_independently() {
         // Identical shapes on two threads, interleaved in seq order.
         let ring = vec![
-            span(0, 0, 1, "inner", 100_000),
-            span(1, 1, 1, "inner", 200_000),
-            span(2, 1, 0, "outer", 1_000_000),
-            span(3, 0, 0, "outer", 1_000_000),
+            span(0, 0, Some(103), 1, "inner", 100_000),
+            span(1, 1, Some(102), 1, "inner", 200_000),
+            span(2, 1, None, 0, "outer", 1_000_000),
+            span(3, 0, None, 0, "outer", 1_000_000),
         ];
         let p = Profile::build(&ring);
         let edge = &p.edges[0];
@@ -371,7 +372,7 @@ mod tests {
     #[test]
     fn orphans_survive_ring_truncation_as_roots() {
         // The parent's close fell off the ring: the child is a root.
-        let ring = vec![span(0, 0, 3, "deep", 400)];
+        let ring = vec![span(0, 0, Some(7), 3, "deep", 400)];
         let p = Profile::build(&ring);
         assert_eq!(p.paths.len(), 1);
         assert_eq!(p.paths[0].path, "deep");
@@ -404,8 +405,8 @@ mod tests {
         // format: ';' (frame separator) and whitespace (count
         // separator), at both depths.
         let ring = vec![
-            span(0, 0, 1, "inner;evil frame\tname", 300),
-            span(1, 0, 0, "outer; rm -rf", 1_000),
+            span(0, 0, Some(101), 1, "inner;evil frame\tname", 300),
+            span(1, 0, None, 0, "outer; rm -rf", 1_000),
         ];
         let p = Profile::build(&ring);
         let text = p.to_collapsed();
@@ -429,6 +430,51 @@ mod tests {
     fn escape_frame_passes_clean_names_through() {
         assert_eq!(escape_frame("process_batch"), "process_batch");
         assert_eq!(escape_frame("a;b c\nd"), "a:b_c_d");
+    }
+
+    #[test]
+    fn spans_opened_on_rayon_workers_nest_under_the_spawning_span() {
+        use crate::obs::trace::{current, span_guard, tracer};
+        use rayon::prelude::*;
+
+        // The tracer is process-global; this test's records carry a
+        // unique field value and are filtered by it.
+        let tag = || vec![("trainer".to_string(), "profile-fanout".to_string())];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        pool.install(|| {
+            let _epoch = span_guard("train_epoch", tag());
+            let parent = current();
+            (0..6usize).into_par_iter().for_each(|_| {
+                let _parent = parent.enter();
+                let _span = span_guard("inner_step", tag());
+            });
+        });
+        let mine: Vec<TraceEvent> = tracer()
+            .ring_snapshot()
+            .into_iter()
+            .filter(|e| e.fields == tag())
+            .collect();
+        let epoch = mine.iter().find(|e| e.name == "train_epoch").unwrap();
+        let inner: Vec<&TraceEvent> = mine.iter().filter(|e| e.name == "inner_step").collect();
+        assert_eq!(inner.len(), 6);
+        let threads: std::collections::BTreeSet<u64> = inner.iter().map(|e| e.thread).collect();
+        assert!(threads.len() >= 2, "the fan-out should use both workers");
+        for e in &inner {
+            assert_eq!(e.parent, Some(epoch.id), "{e:?}");
+            assert_eq!(e.depth, epoch.depth + 1, "{e:?}");
+        }
+        let p = Profile::build(&mine);
+        assert_eq!(p.edges.len(), 1);
+        assert_eq!(
+            (p.edges[0].parent.as_str(), p.edges[0].child.as_str()),
+            ("train_epoch", "inner_step")
+        );
+        assert_eq!(p.edges[0].count, 6);
+        let paths: Vec<&str> = p.paths.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["train_epoch", "train_epoch;inner_step"]);
     }
 
     #[test]

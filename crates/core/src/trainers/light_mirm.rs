@@ -16,26 +16,14 @@
 //! (line 9) + `M` (line 13) = `4M`, asserted exactly in tests against
 //! meta-IRM's `2M²`.
 //!
-//! Execution: each phase runs env-parallel on the fused kernels of
-//! [`crate::kernels`] (lines 6–7 are one fused pass that also caches the
-//! logits the line-13 HVP reuses), all `s_m` are drawn up front on the
-//! serial RNG stream, and per-environment contributions merge in env
-//! order — training is bit-identical for any thread count.
-
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
+//! The loop itself is [`crate::trainers::bilevel`], shared with
+//! meta-IRM: this trainer supplies the one-sample target rule and the
+//! MRQ recombination.
 
 use crate::env::EnvDataset;
-use crate::kernels::{self, EnvScratch, ScratchPool};
 use crate::lr::LrModel;
-use crate::mrq::MetaReplayQueue;
-use crate::timing::{OpCounter, Step, StepTimer};
-use crate::trainers::{
-    active_envs_checked, axpy_neg, sigma_coefficients, EpochObserver, MetaObs, TrainConfig,
-    TrainOutput, TrainedModel,
-};
+use crate::trainers::bilevel::{BiLevel, Targets};
+use crate::trainers::{EpochObserver, TrainConfig, TrainOutput};
 
 /// LightMIRM trainer.
 #[derive(Debug, Clone)]
@@ -87,197 +75,24 @@ impl LightMirmTrainer {
         &self,
         data: &EnvDataset,
         init: LrModel,
-        mut observer: Option<EpochObserver<'_>>,
+        observer: Option<EpochObserver<'_>>,
     ) -> TrainOutput {
         assert_eq!(
             init.weights.len(),
             data.n_cols(),
             "warm-start head dimension must match the dataset"
         );
-        let mut timer = StepTimer::new();
-        let mut ops = OpCounter::new();
-        let envs = timer.time(Step::LoadData, || active_envs_checked(data));
-        let n_cols = data.n_cols();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut model = init;
+        self.bilevel().fit_lr(data, init, observer)
+    }
 
-        // One MRQ per environment, zero-initialized (Algorithm 2 line 1).
-        let mut queues: Vec<MetaReplayQueue> = envs
-            .iter()
-            .map(|_| MetaReplayQueue::new(self.mrq_len))
-            .collect();
-
-        // Per-environment scratch (θ̄, gradients, u, HVP, logit cache),
-        // allocated once and reused every epoch.
-        let env_sizes: Vec<usize> = envs.iter().map(|&m| data.env_rows(m).len()).collect();
-        let mut pool = ScratchPool::new(n_cols, &env_sizes);
-        let mut outer = vec![0.0; n_cols];
-        let mut momentum = crate::trainers::Momentum::new(n_cols, self.config.momentum);
-        let mobs = MetaObs::new("lightmirm", &envs);
-
-        for epoch in 0..self.config.epochs {
-            let _epoch_span = crate::span!("train_epoch", trainer = "lightmirm", epoch = epoch);
-            // ---- sample s_m ≠ m: line 8 ----------------------------------
-            // All draws happen up front on the single ChaCha stream, so
-            // the sampling sequence is independent of the parallel
-            // schedule below. `s_m ≠ m` is drawn directly by index shift
-            // (one uniform over the M−1 other positions) instead of a
-            // rejection loop.
-            let sampled: Vec<usize> = if envs.len() == 1 {
-                vec![envs[0]] // degenerate single-env world: self is the only option
-            } else {
-                (0..envs.len())
-                    .map(|i| {
-                        let j = rng.gen_range(0..envs.len() - 1);
-                        envs[if j >= i { j + 1 } else { j }]
-                    })
-                    .collect()
-            };
-
-            // ---- inner step: lines 6–7, env-parallel --------------------
-            // One fused pass per environment yields R^m(θ) (line 6) and
-            // ∇R^m(θ) (line 7) while caching the logits the outer HVP at
-            // the same θ will reuse. The paper's accounting still charges
-            // one forward and one backward per environment.
-            timer.time(Step::InnerOptimization, || {
-                let weights = &model.weights;
-                let mobs = mobs.as_ref();
-                pool.slots_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| {
-                        let _span = crate::span!("inner_step", env = envs[i]);
-                        let t0 = mobs.map(|_| std::time::Instant::now());
-                        let EnvScratch {
-                            theta_bar,
-                            grad,
-                            logits,
-                            ..
-                        } = slot;
-                        let _inner_loss = kernels::env_loss_grad_cached(
-                            weights,
-                            &data.x,
-                            &data.labels,
-                            data.env_rows(envs[i]),
-                            self.config.reg,
-                            grad,
-                            logits,
-                        );
-                        theta_bar.copy_from_slice(weights);
-                        axpy_neg(theta_bar, self.config.inner_lr, grad);
-                        if let (Some(mo), Some(t0)) = (mobs, t0) {
-                            mo.inner_step[i].record_duration(t0.elapsed());
-                        }
-                    });
-            });
-            ops.add_forward(envs.len() as u64);
-            ops.add_backward(envs.len() as u64);
-            if let Some(mo) = &mobs {
-                for &s in &sampled {
-                    if let Some(pos) = envs.iter().position(|&e| e == s) {
-                        mo.sampled_env[pos].inc();
-                    }
-                }
-            }
-
-            // ---- replay: lines 9–10, env-parallel -----------------------
-            let sampled_losses: Vec<f64> = timer.time(Step::MetaLoss, || {
-                pool.slots()
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        kernels::env_loss(
-                            &slot.theta_bar,
-                            &data.x,
-                            &data.labels,
-                            data.env_rows(sampled[i]),
-                            self.config.reg,
-                        )
-                    })
-                    .collect()
-            });
-            ops.add_forward(envs.len() as u64);
-            for (queue, &loss) in queues.iter_mut().zip(&sampled_losses) {
-                queue.push(loss);
-            }
-
-            // R_meta per env: the decay-normalized replayed loss.
-            let meta_losses: Vec<f64> =
-                queues.iter().map(|q| q.replayed_mean(self.gamma)).collect();
-            if let Some(mo) = &mobs {
-                mo.mrq_push.add(envs.len() as u64);
-                mo.mrq_replay.add(envs.len() as u64);
-                mo.record_sigma(&meta_losses);
-            }
-
-            // ---- outer update: lines 12–13 ------------------------------
-            // Gradient flows only through the newest queue entry,
-            // R^{s_m}(θ̄_m), whose weight inside the replayed mean is
-            // `newest_weight`.
-            let coefs = sigma_coefficients(&meta_losses, self.config.lambda);
-            let w_news: Vec<f64> = queues.iter().map(|q| q.newest_weight(self.gamma)).collect();
-            let outer_t0 = mobs.as_ref().map(|_| std::time::Instant::now());
-            timer.time(Step::Backward, || {
-                pool.slots_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| {
-                        let EnvScratch {
-                            theta_bar,
-                            u,
-                            hvp,
-                            logits,
-                            ..
-                        } = slot;
-                        kernels::env_grad(
-                            theta_bar,
-                            &data.x,
-                            &data.labels,
-                            data.env_rows(sampled[i]),
-                            self.config.reg,
-                            u,
-                        );
-                        // Chain through the inner step: u − α H_m(θ) u.
-                        // The Hessian is at θ over env m's rows — exactly
-                        // where the inner pass cached the logits.
-                        kernels::hvp_from_logits(
-                            logits,
-                            &data.x,
-                            data.env_rows(envs[i]),
-                            self.config.reg,
-                            u,
-                            hvp,
-                        );
-                        for (ui, &h) in u.iter_mut().zip(hvp.iter()) {
-                            *ui -= self.config.inner_lr * h;
-                        }
-                    });
-            });
-            ops.add_backward(envs.len() as u64);
-            ops.add_hvp(envs.len() as u64);
-            // Ordered merge: environments accumulate in env order, so the
-            // outer gradient is independent of the parallel schedule.
-            outer.fill(0.0);
-            for (i, slot) in pool.slots().iter().enumerate() {
-                let scale = coefs[i] * w_news[i];
-                for (o, &ui) in outer.iter_mut().zip(&slot.u) {
-                    *o += scale * ui;
-                }
-            }
-            momentum.step(&mut model.weights, self.config.outer_lr, &outer);
-            if let (Some(mo), Some(t0)) = (&mobs, outer_t0) {
-                mo.outer_step.record_duration(t0.elapsed());
-                mo.epochs.inc();
-            }
-            if let Some(obs) = observer.as_mut() {
-                obs(epoch, &model);
-            }
-        }
-        TrainOutput {
-            model: TrainedModel::Global(model),
-            timer,
-            ops,
-            epochs_run: self.config.epochs,
+    /// Algorithm 2 as data for the shared bi-level loop.
+    pub(crate) fn bilevel(&self) -> BiLevel<'_> {
+        BiLevel {
+            config: &self.config,
+            trainer: "lightmirm",
+            targets: Targets::Sampled,
+            replay: Some((self.mrq_len, self.gamma)),
+            first_order: false,
         }
     }
 }

@@ -16,20 +16,15 @@
 //! Deviation noted in DESIGN.md §5: meta-losses are averaged (not summed)
 //! over their environments so the outer learning rate is comparable
 //! across `M`, `S`, and LightMIRM — the optimizer geometry is unchanged.
-
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
+//!
+//! The loop itself is [`crate::trainers::bilevel`], shared with
+//! LightMIRM: this trainer supplies the all-others (or pooled, or
+//! resampled) target rule and the plain-mean recombination.
 
 use crate::env::EnvDataset;
-use crate::kernels::{self, EnvScratch, ScratchPool};
 use crate::lr::LrModel;
-use crate::timing::{OpCounter, Step, StepTimer};
-use crate::trainers::{
-    active_envs_checked, axpy_neg, sigma_coefficients, EpochObserver, MetaObs, TrainConfig,
-    TrainOutput, TrainedModel,
-};
+use crate::trainers::bilevel::{BiLevel, Targets};
+use crate::trainers::{EpochObserver, TrainConfig, TrainOutput};
 
 /// Meta-IRM trainer; `sample_size: None` is the complete Algorithm 1,
 /// `Some(s)` the sampled variant the paper calls `meta-IRM(s)`.
@@ -83,198 +78,18 @@ impl MetaIrmTrainer {
     }
 
     /// Train per Algorithm 1.
-    pub fn fit(&self, data: &EnvDataset, mut observer: Option<EpochObserver<'_>>) -> TrainOutput {
-        let mut timer = StepTimer::new();
-        let mut ops = OpCounter::new();
-        let envs = timer.time(Step::LoadData, || active_envs_checked(data));
-        let n_cols = data.n_cols();
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut model = LrModel::zeros(n_cols);
-
-        // The fixed province pool of meta-IRM(s): drawn once.
-        let fixed_pool: Option<Vec<usize>> = match self.sample_size {
-            Some(s) if !self.resample_each_iter && s < envs.len() => {
-                let mut pool = envs.clone();
-                pool.shuffle(&mut rng);
-                pool.truncate(s.max(2)); // pool\{m} must be nonempty
-                Some(pool)
-            }
-            _ => None,
-        };
-
-        // Per-environment scratch (θ̄, gradients, u, HVP, logit cache),
-        // allocated once and reused every epoch.
-        let env_sizes: Vec<usize> = envs.iter().map(|&m| data.env_rows(m).len()).collect();
-        let mut pool = ScratchPool::new(n_cols, &env_sizes);
-        let mut outer = vec![0.0; n_cols];
-        let mut momentum = crate::trainers::Momentum::new(n_cols, self.config.momentum);
-        let mobs = MetaObs::new("meta-irm", &envs);
-
-        for epoch in 0..self.config.epochs {
-            let _epoch_span = crate::span!("train_epoch", trainer = "meta-irm", epoch = epoch);
-            // others[i] = environments included in R_meta(θ̄_{envs[i]}).
-            // Subsets are drawn up front on the serial RNG stream (in the
-            // same per-env order as before), keeping the draw sequence
-            // independent of the parallel schedule.
-            let others: Vec<Vec<usize>> = envs
-                .iter()
-                .map(|&m| {
-                    if let Some(pool) = &fixed_pool {
-                        pool.iter().copied().filter(|&e| e != m).collect()
-                    } else {
-                        let mut pool: Vec<usize> =
-                            envs.iter().copied().filter(|&e| e != m).collect();
-                        match self.sample_size {
-                            Some(s) if s < pool.len() => {
-                                pool.shuffle(&mut rng);
-                                pool.truncate(s);
-                                pool
-                            }
-                            _ => pool,
-                        }
-                    }
-                })
-                .collect();
-
-            // ---- inner loop: lines 5–7, env-parallel -------------------
-            // One fused pass per environment computes R^m(θ) (line 6, one
-            // forward op) together with ∇R^m(θ) (line 7, one backward op),
-            // caching the logits the line-10 HVP at the same θ reuses.
-            timer.time(Step::InnerOptimization, || {
-                let weights = &model.weights;
-                let mobs = mobs.as_ref();
-                pool.slots_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| {
-                        let _span = crate::span!("inner_step", env = envs[i]);
-                        let t0 = mobs.map(|_| std::time::Instant::now());
-                        let EnvScratch {
-                            theta_bar,
-                            grad,
-                            logits,
-                            ..
-                        } = slot;
-                        let _inner_loss = kernels::env_loss_grad_cached(
-                            weights,
-                            &data.x,
-                            &data.labels,
-                            data.env_rows(envs[i]),
-                            self.config.reg,
-                            grad,
-                            logits,
-                        );
-                        theta_bar.copy_from_slice(weights);
-                        axpy_neg(theta_bar, self.config.inner_lr, grad);
-                        if let (Some(mo), Some(t0)) = (mobs, t0) {
-                            mo.inner_step[i].record_duration(t0.elapsed());
-                        }
-                    });
-            });
-            ops.add_forward(envs.len() as u64);
-            ops.add_backward(envs.len() as u64);
-
-            // ---- meta-losses: line 8, env-parallel ----------------------
-            let meta_losses: Vec<f64> = timer.time(Step::MetaLoss, || {
-                pool.slots()
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, slot)| {
-                        let sum: f64 = others[i]
-                            .iter()
-                            .map(|&e| {
-                                kernels::env_loss(
-                                    &slot.theta_bar,
-                                    &data.x,
-                                    &data.labels,
-                                    data.env_rows(e),
-                                    self.config.reg,
-                                )
-                            })
-                            .sum();
-                        sum / others[i].len().max(1) as f64
-                    })
-                    .collect()
-            });
-            ops.add_forward(others.iter().map(|o| o.len() as u64).sum());
-
-            // ---- outer update: lines 10–11 ------------------------------
-            if let Some(mo) = &mobs {
-                mo.record_sigma(&meta_losses);
-            }
-            let coefs = sigma_coefficients(&meta_losses, self.config.lambda);
-            let outer_t0 = mobs.as_ref().map(|_| std::time::Instant::now());
-            timer.time(Step::Backward, || {
-                pool.slots_mut()
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| {
-                        let EnvScratch {
-                            theta_bar,
-                            grad,
-                            u,
-                            hvp,
-                            logits,
-                        } = slot;
-                        // u = ∇_{θ̄} R_meta(θ̄_m): mean of env gradients at θ̄_m.
-                        u.fill(0.0);
-                        let k = others[i].len().max(1) as f64;
-                        for &e in &others[i] {
-                            kernels::env_grad(
-                                theta_bar,
-                                &data.x,
-                                &data.labels,
-                                data.env_rows(e),
-                                self.config.reg,
-                                grad,
-                            );
-                            for (ui, &g) in u.iter_mut().zip(grad.iter()) {
-                                *ui += g / k;
-                            }
-                        }
-                        // Chain through the inner step: Jᵀu = u − α H_m(θ) u.
-                        if !self.first_order {
-                            kernels::hvp_from_logits(
-                                logits,
-                                &data.x,
-                                data.env_rows(envs[i]),
-                                self.config.reg,
-                                u,
-                                hvp,
-                            );
-                            for (ui, &h) in u.iter_mut().zip(hvp.iter()) {
-                                *ui -= self.config.inner_lr * h;
-                            }
-                        }
-                    });
-            });
-            ops.add_backward(others.iter().map(|o| o.len() as u64).sum());
-            if !self.first_order {
-                ops.add_hvp(envs.len() as u64);
-            }
-            // Ordered merge: environments accumulate in env order, so the
-            // outer gradient is independent of the parallel schedule.
-            outer.fill(0.0);
-            for (i, slot) in pool.slots().iter().enumerate() {
-                for (o, &ui) in outer.iter_mut().zip(&slot.u) {
-                    *o += coefs[i] * ui;
-                }
-            }
-            momentum.step(&mut model.weights, self.config.outer_lr, &outer);
-            if let (Some(mo), Some(t0)) = (&mobs, outer_t0) {
-                mo.outer_step.record_duration(t0.elapsed());
-                mo.epochs.inc();
-            }
-            if let Some(obs) = observer.as_mut() {
-                obs(epoch, &model);
-            }
+    pub fn fit(&self, data: &EnvDataset, observer: Option<EpochObserver<'_>>) -> TrainOutput {
+        BiLevel {
+            config: &self.config,
+            trainer: "meta-irm",
+            targets: Targets::Others {
+                sample_size: self.sample_size,
+                resample: self.resample_each_iter,
+            },
+            replay: None,
+            first_order: self.first_order,
         }
-        TrainOutput {
-            model: TrainedModel::Global(model),
-            timer,
-            ops,
-            epochs_run: self.config.epochs,
-        }
+        .fit_lr(data, LrModel::zeros(data.n_cols()), observer)
     }
 }
 

@@ -5,8 +5,12 @@
 //! with the learned model, the Table-III step timings, the §III-F
 //! operation counts, and space for an epoch observer to record training
 //! curves (paper Figs. 6 and 8).
+//!
+//! Meta-IRM and LightMIRM are thin constructors over one bi-level epoch
+//! loop ([`bilevel`]), generic over the model family.
 
 mod baselines;
+pub(crate) mod bilevel;
 mod light_mirm;
 mod meta_irm;
 mod robust;
