@@ -1,7 +1,8 @@
 //! Subcommand implementations, written as functions over parsed args so
 //! unit tests drive them without spawning processes.
 
-use std::path::Path;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 use lightmirm_core::bundle::DriftBaseline;
 use lightmirm_core::obs;
@@ -14,9 +15,9 @@ use lightmirm_serve::loadgen::{
     replay as replay_trace, synthesize_trace, TraceConfig, TracePattern,
 };
 use lightmirm_serve::{
-    AdaptConfig, EngineConfig, EngineStats, FeedConfig, LabelFeed, MonitorConfig, Priority,
-    PromotionController, ScoreError, ScoringEngine, ShardConfig, ShardedEngine, SubmitError,
-    SubmitOptions,
+    AdaptConfig, DriftReport, EngineConfig, EngineStats, FeedConfig, LabelFeed, MonitorConfig,
+    PendingScores, Priority, PromotionController, ReloadError, ScoreError, ShardConfig,
+    ShardedEngine, SubmitError, SubmitOptions,
 };
 use loansim::{generate, temporal_split, GeneratorConfig, LoanFrame, ProvinceCatalog, Schema};
 
@@ -280,7 +281,7 @@ fn cmd_train(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliE
 /// Parse the common engine flags (`--batch` / `--workers` /
 /// `--deadline-ms` / `--shed-watermark` / `--max-attempts` /
 /// `--priority`) into an [`EngineConfig`] plus per-request submit
-/// options, shared by the single-engine and sharded front ends.
+/// options.
 fn engine_config_from_flags(args: &ParsedArgs) -> Result<(EngineConfig, SubmitOptions), CliError> {
     let defaults = EngineConfig::default();
     let max_batch = args.get_or("batch", defaults.max_batch)?;
@@ -335,18 +336,10 @@ fn engine_config_from_flags(args: &ParsedArgs) -> Result<(EngineConfig, SubmitOp
     Ok((cfg, opts))
 }
 
-/// Build an engine plus per-request submit options from the common
-/// engine flags.
-fn engine_from_flags(
-    args: &ParsedArgs,
-    bundle: ModelBundle,
-) -> Result<(ScoringEngine, SubmitOptions), CliError> {
-    let (cfg, opts) = engine_config_from_flags(args)?;
-    Ok((ScoringEngine::new(bundle, cfg), opts))
-}
-
-/// Build the sharded front end from the same engine flags plus
-/// `--shards N`.
+/// Build the serving fleet from the engine flags: `shards` independent
+/// engines behind the province router, each serving a clone of
+/// `bundle`. One engine is a one-shard fleet, so `score` and every
+/// `serve-replay` mode serve through this.
 fn sharded_from_flags(
     args: &ParsedArgs,
     bundle: &ModelBundle,
@@ -364,46 +357,245 @@ fn sharded_from_flags(
     Ok((sharded, opts))
 }
 
-/// Honor `--drift-out p.json`: force a final PSI check on every
-/// environment with enough window samples and write the sentinel's
-/// per-environment report (score drift plus per-signal breakdown) as
-/// JSON. Bundles without a baseline write an empty report.
-fn write_drift_report(
-    args: &ParsedArgs,
-    engine: &ScoringEngine,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let Some(path) = args.optional("drift-out") else {
-        return Ok(());
-    };
-    match engine.drift_monitor() {
-        Some(monitor) => {
-            monitor.check_now();
-            let report = monitor.drift_report();
-            std::fs::write(
-                Path::new(path),
-                serde_json::to_string_pretty(&report).expect("drift report serializes"),
-            )?;
-            writeln!(
-                out,
-                "drift report ({} provinces) at {path}",
-                report.envs.len()
-            )?;
-        }
-        None => {
-            std::fs::write(Path::new(path), "{\"envs\":[]}\n")?;
-            writeln!(
-                out,
-                "bundle carries no drift baseline; empty drift report at {path}"
-            )?;
+/// How a fleet's output is named: the one place the shard count shapes
+/// what `score` and `serve-replay` write. One shard (the default) keeps
+/// the single-engine shape: the `engine` report key, a flat drift
+/// report, an `adapt` object, un-suffixed `--adapt-out` / `--adapt-log`
+/// paths and the `engine:` summary line. A larger fleet reports per
+/// shard and names per-shard files `<path>.shard<i>`.
+#[derive(Debug, Clone, Copy)]
+struct Fleet {
+    shards: usize,
+}
+
+impl Fleet {
+    fn of(sharded: &ShardedEngine) -> Fleet {
+        Fleet {
+            shards: sharded.shards(),
         }
     }
-    Ok(())
+
+    fn single(self) -> bool {
+        self.shards == 1
+    }
+
+    /// Shard `i`'s copy of a per-shard output file. The suffix is
+    /// appended to the whole file name, so `a.json` and `a.jsonl` stay
+    /// apart as `a.json.shard0` and `a.jsonl.shard0`.
+    fn path(self, path: &Path, i: usize) -> PathBuf {
+        if self.single() {
+            return path.to_path_buf();
+        }
+        let mut name = path.as_os_str().to_os_string();
+        name.push(format!(".shard{i}"));
+        PathBuf::from(name)
+    }
+
+    /// Console suffix naming shard `i`.
+    fn label(self, i: usize) -> String {
+        if self.single() {
+            String::new()
+        } else {
+            format!(" (shard {i})")
+        }
+    }
+
+    /// Per-shard JSON blocks: the lone block, or an array of them.
+    fn blocks(self, mut blocks: Vec<serde_json::Value>) -> serde_json::Value {
+        if self.single() {
+            blocks.swap_remove(0)
+        } else {
+            serde_json::Value::Array(blocks)
+        }
+    }
+
+    /// Add the engines' final stats to a replay report.
+    fn insert_stats(self, report: &mut serde_json::Map, stats: &[EngineStats]) {
+        if self.single() {
+            report.insert("engine".into(), serde_json::json!(&stats[0]));
+        } else {
+            report.insert("shards".into(), serde_json::json!(self.shards));
+            report.insert("shard_engines".into(), serde_json::json!(stats));
+        }
+    }
+
+    /// The `--drift-out` document and its console line, from every
+    /// shard's report (`None` when the bundle carries no drift
+    /// baseline). A fleet writes `{"shards": [report, ...]}`, each
+    /// report covering only the slice routed to that shard.
+    fn drift_document(self, reports: &[Option<DriftReport>], path: &str) -> (String, String) {
+        if self.single() {
+            return match &reports[0] {
+                Some(report) => (
+                    serde_json::to_string_pretty(report).expect("drift report serializes"),
+                    format!("drift report ({} provinces) at {path}", report.envs.len()),
+                ),
+                None => (
+                    "{\"envs\":[]}\n".into(),
+                    format!("bundle carries no drift baseline; empty drift report at {path}"),
+                ),
+            };
+        }
+        let reports: Vec<serde_json::Value> = reports
+            .iter()
+            .map(|r| match r {
+                Some(report) => serde_json::to_value(report),
+                None => serde_json::json!({ "envs": Vec::<serde_json::Value>::new() }),
+            })
+            .collect();
+        (
+            serde_json::to_string_pretty(&serde_json::json!({ "shards": reports }))
+                .expect("drift report serializes"),
+            format!("per-shard drift report ({} shards) at {path}", self.shards),
+        )
+    }
+
+    /// The console line for a mid-stream `reload_all` outcome.
+    fn reload_message(self, path: &str, outcome: &Result<(), (usize, ReloadError)>) -> String {
+        match (outcome, self.single()) {
+            (Ok(()), true) => format!("hot-reloaded bundle from {path}"),
+            (Ok(()), false) => format!(
+                "hot-reloaded bundle from {path} on all {} shards",
+                self.shards
+            ),
+            (Err((_, e)), true) => {
+                format!("reload of {path} rejected ({e}); incumbent keeps serving")
+            }
+            (Err((i, e)), false) => format!(
+                "reload of {path} rejected by shard {i} ({e}); shards {i}.. keep their incumbent"
+            ),
+        }
+    }
+
+    /// One summary line per shard: `engine:` alone, `engine (shard i):`
+    /// in a fleet.
+    fn write_summaries(
+        self,
+        out: &mut dyn std::io::Write,
+        stats: &[EngineStats],
+    ) -> std::io::Result<()> {
+        for (i, stats) in stats.iter().enumerate() {
+            writeln!(
+                out,
+                "engine{}: {} requests, mean batch {:.1} rows, latency p50 {:.1}us p99 {:.1}us \
+                 (enqueue-to-reply p50 {:.1}us p99 {:.1}us, score p50 {:.1}us/batch)",
+                self.label(i),
+                stats.requests,
+                stats.batch_rows_mean,
+                stats.latency_p50_ns as f64 / 1_000.0,
+                stats.latency_p99_ns as f64 / 1_000.0,
+                stats.enqueue_to_reply_p50_ns as f64 / 1_000.0,
+                stats.enqueue_to_reply_p99_ns as f64 / 1_000.0,
+                stats.score_p50_ns as f64 / 1_000.0
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// A frame served through the fleet as `chunk`-row requests, each routed
+/// by its first row's province. Every shard serves the same bundle, so
+/// the scores are bit-identical for any shard count.
+///
+/// This is the one place degraded-mode outcomes recover: a
+/// [`SubmitError::Shed`] low-priority request is resubmitted at
+/// [`Priority::Normal`], and a request answering
+/// [`ScoreError::DeadlineExceeded`] is rescored without a deadline (the
+/// replay must stay complete; the engines' shed/expired counters still
+/// record the pressure). Hard failures (poisoning, quarantine, engine
+/// death) surface as [`CliError::Data`] instead of panicking.
+struct RowStream<'a> {
+    sharded: &'a ShardedEngine,
+    frame: &'a LoanFrame,
+    chunk: usize,
+    opts: SubmitOptions,
+}
+
+impl<'a> RowStream<'a> {
+    fn new(
+        sharded: &'a ShardedEngine,
+        frame: &'a LoanFrame,
+        chunk: usize,
+        opts: SubmitOptions,
+    ) -> Self {
+        let chunk = chunk.max(1).min(sharded.shard(0).config().queue_capacity);
+        RowStream {
+            sharded,
+            frame,
+            chunk,
+            opts,
+        }
+    }
+
+    /// The `(first row, rows)` requests covering `rows`.
+    fn chunks(&self, rows: Range<usize>) -> impl Iterator<Item = (usize, usize)> {
+        let (end, chunk) = (rows.end, self.chunk);
+        rows.step_by(chunk).map(move |r| (r, chunk.min(end - r)))
+    }
+
+    /// Submit rows `r..r + n` as one request; returns the shard that
+    /// accepted it alongside the pending scores.
+    fn submit(
+        &self,
+        r: usize,
+        n: usize,
+        opts: SubmitOptions,
+    ) -> Result<(usize, PendingScores), CliError> {
+        let key = self.frame.province[r];
+        let (features, env_ids) = chunk_rows(self.frame, r, n);
+        let submitted = match self.sharded.submit(key, features, env_ids, opts) {
+            Err(SubmitError::Shed) => {
+                let (features, env_ids) = chunk_rows(self.frame, r, n);
+                let normal = SubmitOptions {
+                    priority: Priority::Normal,
+                    ..opts
+                };
+                self.sharded.submit(key, features, env_ids, normal)
+            }
+            other => other,
+        };
+        submitted.map_err(|e| CliError::Data(format!("submit of rows {r}..{}: {e}", r + n)))
+    }
+
+    /// Wait for the request [`RowStream::submit`] made of rows
+    /// `r..r + n`.
+    fn collect(&self, r: usize, n: usize, pending: PendingScores) -> Result<Vec<f64>, CliError> {
+        match pending.wait() {
+            Ok(got) => Ok(got),
+            Err(ScoreError::DeadlineExceeded) => {
+                let patient = SubmitOptions {
+                    deadline: None,
+                    priority: Priority::Normal,
+                    request_id: None,
+                };
+                let (_, retry) = self.submit(r, n, patient)?;
+                retry
+                    .wait()
+                    .map_err(|e| CliError::Data(format!("deadline retry of row {r}: {e}")))
+            }
+            Err(e) => Err(CliError::Data(format!("request at row {r}: {e}"))),
+        }
+    }
+
+    /// Score `rows` and return the scores in row order. Every request
+    /// is submitted before the first wait, so the shards pipeline;
+    /// blocking submits provide the backpressure.
+    fn score(&self, rows: Range<usize>) -> Result<Vec<f64>, CliError> {
+        let mut pending = Vec::with_capacity(rows.len().div_ceil(self.chunk));
+        for (r, n) in self.chunks(rows.clone()) {
+            pending.push((r, n, self.submit(r, n, self.opts)?.1));
+        }
+        let mut scores = Vec::with_capacity(rows.len());
+        for (r, n, p) in pending {
+            scores.extend(self.collect(r, n, p)?);
+        }
+        Ok(scores)
+    }
 }
 
 /// Slice one `n`-row request starting at `r` out of `frame`.
-fn chunk_rows(frame: &LoanFrame, nf: usize, r: usize, n: usize) -> (Vec<f32>, Vec<u16>) {
-    let mut features = Vec::with_capacity(n * nf);
+fn chunk_rows(frame: &LoanFrame, r: usize, n: usize) -> (Vec<f32>, Vec<u16>) {
+    let mut features = Vec::with_capacity(n * frame.n_features());
     let mut env_ids = Vec::with_capacity(n);
     for k in r..r + n {
         features.extend_from_slice(frame.row(k));
@@ -412,83 +604,8 @@ fn chunk_rows(frame: &LoanFrame, nf: usize, r: usize, n: usize) -> (Vec<f32>, Ve
     (features, env_ids)
 }
 
-/// Push `frame` through `engine` as requests of `chunk` rows and return
-/// the scores in row order. Blocking submits provide the backpressure:
-/// the whole frame never sits in memory twice. Degraded-mode outcomes
-/// recover — a [`SubmitError::Shed`] low-priority request is resubmitted
-/// at [`Priority::Normal`], and a request answering
-/// [`ScoreError::DeadlineExceeded`] is rescored without a deadline (the
-/// replay must stay complete; the engine's shed/expired counters still
-/// record the pressure). Hard failures (poisoning, quarantine, engine
-/// death) surface as [`CliError::Data`] instead of panicking.
-fn score_through_engine(
-    engine: &ScoringEngine,
-    frame: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
-) -> Result<Vec<f64>, CliError> {
-    let nf = engine.bundle().n_features();
-    let chunk = chunk.max(1).min(engine.config().queue_capacity);
-    let mut pending = Vec::with_capacity(frame.len().div_ceil(chunk));
-    let mut r = 0usize;
-    while r < frame.len() {
-        let n = chunk.min(frame.len() - r);
-        let (features, env_ids) = chunk_rows(frame, nf, r, n);
-        let submitted = match engine.submit_with(features, env_ids, opts) {
-            Err(SubmitError::Shed) => {
-                // Shed at the watermark: this driver must deliver every
-                // row, so escalate the chunk to Normal and try again.
-                let (features, env_ids) = chunk_rows(frame, nf, r, n);
-                let normal = SubmitOptions {
-                    priority: Priority::Normal,
-                    ..opts
-                };
-                engine.submit_with(features, env_ids, normal)
-            }
-            other => other,
-        };
-        pending.push((
-            r,
-            n,
-            submitted.map_err(|e| CliError::Data(format!("submit of rows {r}..{}: {e}", r + n)))?,
-        ));
-        r += n;
-    }
-    let mut scores = Vec::with_capacity(frame.len());
-    for (start, n, p) in pending {
-        match p.wait() {
-            Ok(got) => scores.extend(got),
-            Err(ScoreError::DeadlineExceeded) => {
-                // The deadline lapsed while queued; rescore this chunk
-                // without one so the output stays complete. Waiting
-                // in submit order keeps `scores` row-aligned.
-                let (features, env_ids) = chunk_rows(frame, nf, start, n);
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let got = engine
-                    .submit_with(features, env_ids, patient)
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?;
-                scores.extend(got);
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {start}: {e}"))),
-        }
-    }
-    Ok(scores)
-}
-
-/// The `--adapt` serving loop: score the stream chunk by chunk, feed each
-/// answered chunk's now-observed labels into the [`LabelFeed`], and step
-/// the [`PromotionController`] after every chunk — so a Major drift
-/// escalation mid-stream can trigger a warm retrain, probe + canary
-/// validation, and hot promotion (or rollback) while the replay is still
-/// running. Unlike [`score_through_engine`], the stream cannot be fully
-/// pre-submitted: adaptation reacts to labels that only "arrive" once a
-/// chunk has been served.
+/// Parse the `--adapt` knobs: the controller config, the label-feed
+/// caps, and the `--adapt-every` step cadence in chunks.
 fn parse_adapt_flags(args: &ParsedArgs) -> Result<(AdaptConfig, FeedConfig, usize), CliError> {
     let d = AdaptConfig::default();
     let cfg = AdaptConfig {
@@ -500,7 +617,7 @@ fn parse_adapt_flags(args: &ParsedArgs) -> Result<(AdaptConfig, FeedConfig, usiz
         },
         guard_min_auc_gain: args.get_or("adapt-guard", d.guard_min_auc_gain)?,
         cooldown_steps: args.get_or("adapt-cooldown", d.cooldown_steps)?,
-        save_path: args.optional("adapt-out").map(std::path::PathBuf::from),
+        save_path: args.optional("adapt-out").map(PathBuf::from),
         ..d
     };
     let fd = FeedConfig::default();
@@ -512,184 +629,60 @@ fn parse_adapt_flags(args: &ParsedArgs) -> Result<(AdaptConfig, FeedConfig, usiz
     Ok((cfg, feed_cfg, step_every))
 }
 
+/// The `--adapt` serving loop: serve the stream chunk by chunk, feed
+/// each answered chunk's now-observed labels into the serving shard's
+/// [`LabelFeed`], and step that shard's [`PromotionController`] once
+/// every `--adapt-every` chunks of the shard's own traffic. A Major drift
+/// escalation mid-stream can so trigger a warm retrain, probe + canary
+/// validation, and hot promotion (or rollback) while the replay is still
+/// running — on that shard alone, leaving the other shards' champions
+/// untouched. Unlike [`RowStream::score`], the stream cannot be
+/// pre-submitted: adaptation reacts to labels that only "arrive" once a
+/// chunk has been served. With `--adapt-out p`, shard `i` persists its
+/// promoted bundle to [`Fleet::path`]`(p, i)`.
 fn serve_adaptively(
     args: &ParsedArgs,
-    engine: &ScoringEngine,
-    stream: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
-) -> Result<(Vec<f64>, PromotionController), CliError> {
-    let (cfg, feed_cfg, step_every) = parse_adapt_flags(args)?;
-    let feed = LabelFeed::new(engine.bundle().n_features(), feed_cfg);
-    let mut controller = PromotionController::new(engine.bundle(), cfg);
-
-    let chunk = chunk.max(1).min(engine.config().queue_capacity);
-    let mut scores = Vec::with_capacity(stream.len());
-    let mut r = 0usize;
-    let mut chunks = 0usize;
-    while r < stream.len() {
-        let n = chunk.min(stream.len() - r);
-        let rows: Vec<usize> = (r..r + n).collect();
-        scores.extend(score_through_engine(
-            engine,
-            &stream.select(&rows),
-            chunk,
-            opts,
-        )?);
-        for k in r..r + n {
-            feed.push(stream.province[k], stream.row(k), stream.label[k]);
-        }
-        chunks += 1;
-        if chunks.is_multiple_of(step_every) {
-            controller.step(engine, &feed);
-        }
-        r += n;
-    }
-    Ok((scores, controller))
-}
-
-/// Route one chunk through the sharded front end by its first row's
-/// province, escalating a shed low-priority submit to Normal exactly
-/// like [`score_through_engine`]. Returns the shard that accepted the
-/// chunk alongside the pending scores.
-fn submit_chunk_sharded(
-    sharded: &ShardedEngine,
-    frame: &LoanFrame,
-    nf: usize,
-    r: usize,
-    n: usize,
-    opts: SubmitOptions,
-) -> Result<(usize, lightmirm_serve::PendingScores), CliError> {
-    let key = frame.province[r];
-    let (features, env_ids) = chunk_rows(frame, nf, r, n);
-    let submitted = match sharded.submit(key, features, env_ids, opts) {
-        Err(SubmitError::Shed) => {
-            let (features, env_ids) = chunk_rows(frame, nf, r, n);
-            let normal = SubmitOptions {
-                priority: Priority::Normal,
-                ..opts
-            };
-            sharded.submit(key, features, env_ids, normal)
-        }
-        other => other,
-    };
-    submitted.map_err(|e| CliError::Data(format!("submit of rows {r}..{}: {e}", r + n)))
-}
-
-/// [`score_through_engine`] over the sharded front end. Chunks are
-/// pre-submitted for pipelining and routed by their first row's
-/// province; since every shard serves the same bundle, the scores are
-/// bit-identical to the single-engine path for any shard count.
-fn score_through_sharded(
-    sharded: &ShardedEngine,
-    frame: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
-) -> Result<Vec<f64>, CliError> {
-    let nf = sharded.shard(0).bundle().n_features();
-    let chunk = chunk.max(1).min(sharded.shard(0).config().queue_capacity);
-    let mut pending = Vec::with_capacity(frame.len().div_ceil(chunk));
-    let mut r = 0usize;
-    while r < frame.len() {
-        let n = chunk.min(frame.len() - r);
-        let (_, p) = submit_chunk_sharded(sharded, frame, nf, r, n, opts)?;
-        pending.push((r, n, p));
-        r += n;
-    }
-    let mut scores = Vec::with_capacity(frame.len());
-    for (start, n, p) in pending {
-        match p.wait() {
-            Ok(got) => scores.extend(got),
-            Err(ScoreError::DeadlineExceeded) => {
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let (_, retry) = submit_chunk_sharded(sharded, frame, nf, start, n, patient)?;
-                let got = retry
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {start}: {e}")))?;
-                scores.extend(got);
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {start}: {e}"))),
-        }
-    }
-    Ok(scores)
-}
-
-/// The `--adapt` loop over the sharded front end: every shard owns its
-/// own [`LabelFeed`] and [`PromotionController`], fed only by the
-/// chunks that shard actually served — a drift escalation on one
-/// shard's traffic retrains and promotes on that shard alone, leaving
-/// the other shards' champions untouched. With `--adapt-out p`, shard
-/// `i` persists its promoted bundle to `p.shard<i>`.
-fn serve_adaptively_sharded(
-    args: &ParsedArgs,
-    sharded: &ShardedEngine,
-    stream: &LoanFrame,
-    chunk: usize,
-    opts: SubmitOptions,
+    stream: &RowStream<'_>,
 ) -> Result<(Vec<f64>, Vec<PromotionController>), CliError> {
     let (cfg, feed_cfg, step_every) = parse_adapt_flags(args)?;
+    let (sharded, frame) = (stream.sharded, stream.frame);
+    let fleet = Fleet::of(sharded);
     let nf = sharded.shard(0).bundle().n_features();
-    let n_shards = sharded.shards();
-    let feeds: Vec<LabelFeed> = (0..n_shards)
+    let feeds: Vec<LabelFeed> = (0..fleet.shards)
         .map(|_| LabelFeed::new(nf, feed_cfg.clone()))
         .collect();
-    let mut controllers: Vec<PromotionController> = (0..n_shards)
+    let mut controllers: Vec<PromotionController> = (0..fleet.shards)
         .map(|i| {
             let cfg = AdaptConfig {
-                save_path: cfg
-                    .save_path
-                    .as_ref()
-                    .map(|p| p.with_extension(format!("shard{i}"))),
+                save_path: cfg.save_path.as_deref().map(|p| fleet.path(p, i)),
                 ..cfg.clone()
             };
             PromotionController::new(sharded.shard(i).bundle(), cfg)
         })
         .collect();
 
-    let chunk = chunk.max(1).min(sharded.shard(0).config().queue_capacity);
-    let mut scores = Vec::with_capacity(stream.len());
-    let mut r = 0usize;
-    let mut chunks = 0usize;
-    while r < stream.len() {
-        let n = chunk.min(stream.len() - r);
-        let (shard, p) = submit_chunk_sharded(sharded, stream, nf, r, n, opts)?;
-        let got = match p.wait() {
-            Ok(got) => got,
-            Err(ScoreError::DeadlineExceeded) => {
-                let patient = SubmitOptions {
-                    deadline: None,
-                    priority: Priority::Normal,
-                    request_id: None,
-                };
-                let (_, retry) = submit_chunk_sharded(sharded, stream, nf, r, n, patient)?;
-                retry
-                    .wait()
-                    .map_err(|e| CliError::Data(format!("deadline retry of row {r}: {e}")))?
-            }
-            Err(e) => return Err(CliError::Data(format!("request at row {r}: {e}"))),
-        };
-        scores.extend(got);
+    let mut scores = Vec::with_capacity(frame.len());
+    // Chunks served per shard: each controller's cadence follows its
+    // own shard's traffic, not the fleet's.
+    let mut served = vec![0usize; fleet.shards];
+    for (r, n) in stream.chunks(0..frame.len()) {
+        let (shard, pending) = stream.submit(r, n, stream.opts)?;
+        scores.extend(stream.collect(r, n, pending)?);
         for k in r..r + n {
-            feeds[shard].push(stream.province[k], stream.row(k), stream.label[k]);
+            feeds[shard].push(frame.province[k], frame.row(k), frame.label[k]);
         }
-        chunks += 1;
-        if chunks.is_multiple_of(step_every) {
+        served[shard] += 1;
+        if served[shard].is_multiple_of(step_every) {
             controllers[shard].step(sharded.shard(shard), &feeds[shard]);
         }
-        r += n;
     }
     Ok((scores, controllers))
 }
 
 /// Write one controller's adaptation summary (optional event log,
-/// human-readable line) and return its JSON block. `label` is empty for
-/// the single-engine loop and `" (shard i)"` per shard; the event log
-/// path gets a `.shard<i>` extension in sharded mode so logs don't
-/// clobber each other.
+/// human-readable line) and return its JSON block. `label` is the
+/// shard's [`Fleet::label`], and `log_path` its [`Fleet::path`] of
+/// `--adapt-log`, so per-shard logs don't clobber each other.
 fn adapt_summary(
     controller: &PromotionController,
     label: &str,
@@ -729,23 +722,34 @@ fn adapt_summary(
     }))
 }
 
-fn write_engine_summary(
+/// Wind the fleet down: fold every shard's `serve_*` telemetry into the
+/// global registry (so a trailing `--metrics-out` snapshot carries it),
+/// honor `--drift-out p.json` — force a final PSI check on every shard's
+/// sentinel and write its per-environment report (score drift plus
+/// per-signal breakdown), shaped by [`Fleet::drift_document`] — then
+/// shut the shards down and return their final stats.
+fn finish_serving(
+    args: &ParsedArgs,
+    sharded: ShardedEngine,
     out: &mut dyn std::io::Write,
-    label: &str,
-    stats: &EngineStats,
-) -> std::io::Result<()> {
-    writeln!(
-        out,
-        "{label}: {} requests, mean batch {:.1} rows, latency p50 {:.1}us p99 {:.1}us \
-         (enqueue-to-reply p50 {:.1}us p99 {:.1}us, score p50 {:.1}us/batch)",
-        stats.requests,
-        stats.batch_rows_mean,
-        stats.latency_p50_ns as f64 / 1_000.0,
-        stats.latency_p99_ns as f64 / 1_000.0,
-        stats.enqueue_to_reply_p50_ns as f64 / 1_000.0,
-        stats.enqueue_to_reply_p99_ns as f64 / 1_000.0,
-        stats.score_p50_ns as f64 / 1_000.0
-    )
+) -> Result<Vec<EngineStats>, CliError> {
+    for i in 0..sharded.shards() {
+        obs::registry().merge_snapshot(&sharded.shard(i).metrics_snapshot());
+    }
+    if let Some(path) = args.optional("drift-out") {
+        let reports: Vec<Option<DriftReport>> = (0..sharded.shards())
+            .map(|i| {
+                sharded.shard(i).drift_monitor().map(|monitor| {
+                    monitor.check_now();
+                    monitor.drift_report()
+                })
+            })
+            .collect();
+        let (text, line) = Fleet::of(&sharded).drift_document(&reports, path);
+        std::fs::write(Path::new(path), text)?;
+        writeln!(out, "{line}")?;
+    }
+    Ok(sharded.shutdown())
 }
 
 /// `score --model model.json --data world.bin --out scores.csv
@@ -759,20 +763,18 @@ fn cmd_score(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliE
     let bundle = load_bundle(args.required("model")?)?;
     let frame = load_frame(args.required("data")?)?;
     let out_path = args.required("out")?;
-    let (engine, opts) = engine_from_flags(args, bundle)?;
-    let scores = score_through_engine(&engine, &frame, engine.config().max_batch, opts)?;
-    // Fold the engine's serve_* telemetry into the global registry so a
-    // trailing `--metrics-out` snapshot carries it.
-    obs::registry().merge_snapshot(&engine.metrics_snapshot());
-    write_drift_report(args, &engine, out)?;
-    let stats = engine.shutdown();
+    let (sharded, opts) = sharded_from_flags(args, &bundle, 1)?;
+    let fleet = Fleet::of(&sharded);
+    let chunk = sharded.shard(0).config().max_batch;
+    let scores = RowStream::new(&sharded, &frame, chunk, opts).score(0..frame.len())?;
+    let stats = finish_serving(args, sharded, out)?;
     let mut text = String::from("row,province,score\n");
     for (r, score) in scores.iter().enumerate() {
         text.push_str(&format!("{r},{},{score:.6}\n", frame.province[r]));
     }
     std::fs::write(Path::new(out_path), text)?;
     writeln!(out, "scored {} rows into {out_path}", frame.len())?;
-    write_engine_summary(out, "engine", &stats)?;
+    fleet.write_summaries(out, &stats)?;
     Ok(())
 }
 
@@ -806,12 +808,13 @@ fn cmd_score(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliE
 /// transition log into the unified ops journal as `adapt_event`
 /// records (see `obs::journal`).
 ///
-/// `--shards N` serves the stream through the sharded front end
-/// instead of one engine: chunks route by province, `--reload-model`
-/// pushes to every shard, and `--adapt` runs one controller per shard
-/// (see [`serve_adaptively_sharded`]). Scores stay bit-identical to the
-/// single-engine path. `--loadgen-trace PATTERN` switches to synthetic
-/// trace replay entirely (see [`cmd_loadgen_replay`]).
+/// `--shards N` (default 1) sets the size of the fleet the stream is
+/// served through: chunks route by province, `--reload-model` pushes to
+/// every shard, and `--adapt` runs one controller per shard (see
+/// [`serve_adaptively`]). Scores are bit-identical for any shard count;
+/// [`Fleet`] names the per-shard outputs. `--loadgen-trace PATTERN`
+/// switches to synthetic trace replay entirely (see
+/// [`cmd_loadgen_replay`]).
 fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     // `--loadgen-trace` switches to synthetic-trace replay: no `--data`
     // stream, no Fig. 5 curve — throughput and tail latency instead.
@@ -848,138 +851,55 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
             "--adapt and --reload-model are mutually exclusive".into(),
         ));
     }
-    let adapt_log = args.optional("adapt-log").map(Path::new);
 
-    // The companion: the bundle served live through the engine — one
-    // engine by default, or the sharded front end under `--shards N`
-    // (chunks routed by their first row's province; scores are
-    // bit-identical either way since every shard serves the same
-    // bundle).
-    let (companion, adapt_json, stats_list, controllers) = if shards == 1 {
-        let (engine, opts) = engine_from_flags(args, bundle)?;
-        let mut adaptation: Option<PromotionController> = None;
-        let companion = if args.switch("adapt") {
-            let (scores, controller) = serve_adaptively(args, &engine, &stream, chunk, opts)?;
-            adaptation = Some(controller);
-            scores
-        } else {
-            match args.optional("reload-model") {
-                None => score_through_engine(&engine, &stream, chunk, opts)?,
-                Some(reload_path) => {
-                    // Serve the first half, hot-reload mid-stream, serve the rest.
-                    let half = stream.len() / 2;
-                    let first: Vec<usize> = (0..half).collect();
-                    let rest: Vec<usize> = (half..stream.len()).collect();
-                    let mut scores =
-                        score_through_engine(&engine, &stream.select(&first), chunk, opts)?;
-                    let probe_features = stream.row(0).to_vec();
-                    let probe_envs = vec![stream.province[0]];
-                    match ModelBundle::load_from_path(Path::new(reload_path)) {
-                        Ok(candidate) => {
-                            match engine.reload(candidate, &probe_features, &probe_envs) {
-                                Ok(()) => writeln!(out, "hot-reloaded bundle from {reload_path}")?,
-                                Err(e) => writeln!(
-                                    out,
-                                    "reload of {reload_path} rejected ({e}); incumbent keeps serving"
-                                )?,
-                            }
-                        }
-                        Err(e) => writeln!(
-                            out,
-                            "reload of {reload_path} refused ({e}); incumbent keeps serving"
-                        )?,
-                    }
-                    scores.extend(score_through_engine(
-                        &engine,
-                        &stream.select(&rest),
-                        chunk,
-                        opts,
-                    )?);
-                    scores
-                }
-            }
-        };
-        // As in `score`: surface serve_* telemetry through `--metrics-out`.
-        obs::registry().merge_snapshot(&engine.metrics_snapshot());
-        write_drift_report(args, &engine, out)?;
-        let stats = engine.shutdown();
-        let adapt_json = match &adaptation {
-            None => None,
-            Some(controller) => Some(adapt_summary(controller, "", adapt_log, out)?),
-        };
-        let controllers: Vec<PromotionController> = adaptation.into_iter().collect();
-        (companion, adapt_json, vec![stats], controllers)
+    // The companion: the bundle served live through the fleet.
+    let (sharded, opts) = sharded_from_flags(args, &bundle, shards)?;
+    let fleet = Fleet::of(&sharded);
+    let requests = RowStream::new(&sharded, &stream, chunk, opts);
+    let (companion, controllers) = if args.switch("adapt") {
+        serve_adaptively(args, &requests)?
     } else {
-        let (sharded, opts) = sharded_from_flags(args, &bundle, shards)?;
-        let mut adaptation: Option<Vec<PromotionController>> = None;
-        let companion = if args.switch("adapt") {
-            let (scores, controllers) =
-                serve_adaptively_sharded(args, &sharded, &stream, chunk, opts)?;
-            adaptation = Some(controllers);
-            scores
-        } else {
-            match args.optional("reload-model") {
-                None => score_through_sharded(&sharded, &stream, chunk, opts)?,
-                Some(reload_path) => {
-                    // Same mid-stream hot reload, pushed to every shard.
-                    let half = stream.len() / 2;
-                    let first: Vec<usize> = (0..half).collect();
-                    let rest: Vec<usize> = (half..stream.len()).collect();
-                    let mut scores =
-                        score_through_sharded(&sharded, &stream.select(&first), chunk, opts)?;
-                    let probe_features = stream.row(0).to_vec();
-                    let probe_envs = vec![stream.province[0]];
-                    match ModelBundle::load_from_path(Path::new(reload_path)) {
-                        Ok(candidate) => {
-                            match sharded.reload_all(&candidate, &probe_features, &probe_envs) {
-                                Ok(()) => writeln!(
-                                    out,
-                                    "hot-reloaded bundle from {reload_path} on all {shards} shards"
-                                )?,
-                                Err((i, e)) => writeln!(
-                                    out,
-                                    "reload of {reload_path} rejected by shard {i} ({e}); \
-                                     shards {i}.. keep their incumbent"
-                                )?,
-                            }
-                        }
-                        Err(e) => writeln!(
-                            out,
-                            "reload of {reload_path} refused ({e}); incumbent keeps serving"
-                        )?,
+        let scores = match args.optional("reload-model") {
+            None => requests.score(0..stream.len())?,
+            Some(reload_path) => {
+                // Serve the first half, hot-reload every shard
+                // mid-stream, serve the rest.
+                let half = stream.len() / 2;
+                let mut scores = requests.score(0..half)?;
+                let probe_features = stream.row(0).to_vec();
+                let probe_envs = vec![stream.province[0]];
+                match ModelBundle::load_from_path(Path::new(reload_path)) {
+                    Ok(candidate) => {
+                        let outcome = sharded.reload_all(&candidate, &probe_features, &probe_envs);
+                        writeln!(out, "{}", fleet.reload_message(reload_path, &outcome))?;
                     }
-                    scores.extend(score_through_sharded(
-                        &sharded,
-                        &stream.select(&rest),
-                        chunk,
-                        opts,
-                    )?);
-                    scores
-                }
-            }
-        };
-        for i in 0..sharded.shards() {
-            obs::registry().merge_snapshot(&sharded.shard(i).metrics_snapshot());
-        }
-        write_drift_report_sharded(args, &sharded, out)?;
-        let stats = sharded.shutdown();
-        let adapt_json = match &adaptation {
-            None => None,
-            Some(controllers) => {
-                let mut blocks = Vec::with_capacity(controllers.len());
-                for (i, controller) in controllers.iter().enumerate() {
-                    let log = adapt_log.map(|p| p.with_extension(format!("shard{i}")));
-                    blocks.push(adapt_summary(
-                        controller,
-                        &format!(" (shard {i})"),
-                        log.as_deref(),
+                    Err(e) => writeln!(
                         out,
-                    )?);
+                        "reload of {reload_path} refused ({e}); incumbent keeps serving"
+                    )?,
                 }
-                Some(serde_json::Value::Array(blocks))
+                scores.extend(requests.score(half..stream.len())?);
+                scores
             }
         };
-        (companion, adapt_json, stats, adaptation.unwrap_or_default())
+        (scores, Vec::new())
+    };
+    let stats = finish_serving(args, sharded, out)?;
+    let adapt_json = if args.switch("adapt") {
+        let adapt_log = args.optional("adapt-log").map(Path::new);
+        let mut blocks = Vec::with_capacity(controllers.len());
+        for (i, controller) in controllers.iter().enumerate() {
+            let log = adapt_log.map(|p| fleet.path(p, i));
+            blocks.push(adapt_summary(
+                controller,
+                &fleet.label(i),
+                log.as_deref(),
+                out,
+            )?);
+        }
+        Some(fleet.blocks(blocks))
+    } else {
+        None
     };
 
     // `--journal-out` on the stream path: absorb the adaptation
@@ -1030,17 +950,11 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
         "curve": replayed.curve,
     });
     if let serde_json::Value::Object(map) = &mut report {
-        if shards == 1 {
-            // The historical single-engine schema, unchanged.
-            map.insert("engine".into(), serde_json::json!(&stats_list[0]));
-        } else {
-            map.insert("shards".into(), serde_json::json!(shards));
-            map.insert("shard_engines".into(), serde_json::json!(&stats_list));
+        fleet.insert_stats(map, &stats);
+        // Only present under `--adapt`, keeping the default report unchanged.
+        if let Some(adapt) = adapt_json {
+            map.insert("adapt".into(), adapt);
         }
-    }
-    // Only present under `--adapt`, keeping the default report unchanged.
-    if let (Some(adapt), serde_json::Value::Object(map)) = (adapt_json, &mut report) {
-        map.insert("adapt".into(), adapt);
     }
     std::fs::write(
         Path::new(out_path),
@@ -1067,47 +981,8 @@ fn cmd_serve_replay(args: &ParsedArgs, out: &mut dyn std::io::Write) -> Result<(
         best.false_positive_rate * 100.0,
         best.veto_rate * 100.0
     )?;
-    if shards == 1 {
-        write_engine_summary(out, "engine", &stats_list[0])?;
-    } else {
-        for (i, stats) in stats_list.iter().enumerate() {
-            write_engine_summary(out, &format!("shard {i}"), stats)?;
-        }
-    }
+    fleet.write_summaries(out, &stats)?;
     writeln!(out, "curve written to {out_path}")?;
-    Ok(())
-}
-
-/// Honor `--drift-out p.json` for the sharded front end: every shard's
-/// sentinel reports independently (each shard saw only its routed
-/// slice), bundled as `{"shards": [report, ...]}`.
-fn write_drift_report_sharded(
-    args: &ParsedArgs,
-    sharded: &ShardedEngine,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    let Some(path) = args.optional("drift-out") else {
-        return Ok(());
-    };
-    let reports: Vec<serde_json::Value> = (0..sharded.shards())
-        .map(|i| match sharded.shard(i).drift_monitor() {
-            Some(monitor) => {
-                monitor.check_now();
-                serde_json::to_value(&monitor.drift_report())
-            }
-            None => serde_json::json!({ "envs": Vec::<serde_json::Value>::new() }),
-        })
-        .collect();
-    std::fs::write(
-        Path::new(path),
-        serde_json::to_string_pretty(&serde_json::json!({ "shards": reports }))
-            .expect("drift report serializes"),
-    )?;
-    writeln!(
-        out,
-        "per-shard drift report ({} shards) at {path}",
-        sharded.shards()
-    )?;
     Ok(())
 }
 

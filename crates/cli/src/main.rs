@@ -9,7 +9,7 @@
 //!                    [--batch 256] [--workers 2]
 //! lightmirm serve-replay --model model.json --data world.bin --out replay.json
 //!                    [--batch 256] [--workers 2] [--chunk 1] [--grid 40]
-//!                    [--shards 4] [--loadgen-trace flash-crowd]
+//!                    [--shards 1] [--adapt] [--loadgen-trace flash-crowd]
 //! lightmirm evaluate --model model.json --data world.bin [--min-rows 50]
 //! lightmirm audit    --model model.json --baseline a.bin --current b.bin
 //! lightmirm explain  --model model.json --data world.bin --row N [--top 5]

@@ -8,6 +8,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use lightmirm_core::prelude::ModelBundle;
+use lightmirm_serve::ShardRouter;
 use loansim::{generate, GeneratorConfig, LoanFrame};
 
 fn bin() -> Command {
@@ -245,4 +247,193 @@ fn serve_replay_rejects_adapt_with_reload_model() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("mutually exclusive"), "{stderr}");
+}
+
+/// A test directory emptied first, so no file from an earlier run can
+/// stand in for one this run should have written.
+fn fresh_dir(name: &str) -> PathBuf {
+    let _ = std::fs::remove_dir_all(tdir(name));
+    tdir(name)
+}
+
+/// Shard `i`'s copy of a per-shard output file.
+fn shard_path(path: &Path, i: usize) -> PathBuf {
+    PathBuf::from(format!("{}.shard{i}", path.display()))
+}
+
+fn train_lightmirm(world: &Path, model: &str) {
+    run_ok(&[
+        "train",
+        "--data",
+        world.to_str().unwrap(),
+        "--out",
+        model,
+        "--method",
+        "lightmirm",
+        "--trees",
+        "6",
+        "--epochs",
+        "8",
+    ]);
+}
+
+#[test]
+fn sharded_adapt_files_sharing_a_stem_stay_apart() {
+    let dir = fresh_dir("sharded-stem");
+    let world = dir.join("world.bin");
+    let model = dir.join("model.json").to_string_lossy().into_owned();
+    let replay = dir.join("replay.json");
+    // Same stem: replacing the extension would map both to `a.shard<i>`.
+    let adapted = dir.join("a.json");
+    let log = dir.join("a.jsonl");
+    controlled_world(&world);
+    train_lightmirm(&world, &model);
+
+    let msg = run_ok(&[
+        "serve-replay",
+        "--model",
+        &model,
+        "--data",
+        world.to_str().unwrap(),
+        "--out",
+        replay.to_str().unwrap(),
+        "--chunk",
+        "7",
+        "--grid",
+        "5",
+        "--shards",
+        "2",
+        "--adapt",
+        "--adapt-min-rows",
+        "150",
+        "--adapt-epochs",
+        "4",
+        "--adapt-guard",
+        "-1.0",
+        "--adapt-cooldown",
+        "60",
+        "--adapt-out",
+        adapted.to_str().unwrap(),
+        "--adapt-log",
+        log.to_str().unwrap(),
+    ]);
+    assert!(msg.contains("adaptation (shard 1):"), "{msg}");
+
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&replay).expect("replay file"))
+            .expect("replay JSON");
+    let blocks = report["adapt"]
+        .as_array()
+        .expect("one adapt block per shard");
+    assert_eq!(blocks.len(), 2, "{report}");
+    let mut promoted = 0;
+    for (i, block) in blocks.iter().enumerate() {
+        // Every shard's event log is JSONL holding all its events.
+        let text = std::fs::read_to_string(shard_path(&log, i)).expect("shard event log");
+        for line in text.lines() {
+            let event: serde_json::Value = serde_json::from_str(line).expect("event line");
+            assert!(event["stage"].as_str().is_some(), "{line}");
+        }
+        assert_eq!(Some(text.lines().count() as u64), block["events"].as_u64());
+        // A promoting shard's bundle survives its log being written.
+        if block["generation"].as_u64().expect("generation") >= 1 {
+            promoted += 1;
+            let bundle = ModelBundle::load_from_path(&shard_path(&adapted, i))
+                .expect("promoted bundle loads");
+            let lineage = bundle.lineage.expect("promoted bundle carries lineage");
+            assert!(lineage.generation >= 1, "{lineage:?}");
+        }
+    }
+    assert!(promoted >= 1, "no shard promoted: {report}");
+    assert!(!dir.join("a.shard0").exists() && !dir.join("a.shard1").exists());
+}
+
+#[test]
+fn adapt_every_counts_each_shards_own_chunks() {
+    let dir = fresh_dir("cadence");
+    let world_path = dir.join("world.bin");
+    let model = dir.join("model.json").to_string_lossy().into_owned();
+    let replay = dir.join("replay.json");
+
+    // Two well-sampled provinces the router sends to different shards.
+    let frame = generate(&GeneratorConfig::small(6_000, 17));
+    let mut rows: BTreeMap<u16, Vec<usize>> = BTreeMap::new();
+    for r in 0..frame.len() {
+        if frame.year[r] < 2020 {
+            rows.entry(frame.province[r]).or_default().push(r);
+        }
+    }
+    let mut ranked: Vec<(u16, Vec<usize>)> = rows.into_iter().collect();
+    ranked.sort_by_key(|(_, r)| std::cmp::Reverse(r.len()));
+    let router = ShardRouter::new(2);
+    let a = &ranked[0];
+    let b = ranked
+        .iter()
+        .find(|(p, _)| router.route(*p) != router.route(a.0))
+        .expect("a province on the other shard");
+
+    // Train on the pre-2020 rows; the 2020 stream alternates a, b, a, …
+    // so 1-row chunks alternate shards.
+    let mut world = LoanFrame::with_width(frame.n_features());
+    for r in 0..frame.len() {
+        if frame.year[r] < 2020 {
+            let (h, p, v, l) = (
+                frame.half[r],
+                frame.province[r],
+                frame.vehicle[r],
+                frame.label[r],
+            );
+            world
+                .push(frame.row(r), frame.year[r], h, p, v, l)
+                .expect("row fits");
+        }
+    }
+    let pairs = 41;
+    for k in 0..pairs {
+        for &r in [a.1[k], b.1[k]].iter() {
+            let (h, p, v, l) = (
+                frame.half[r],
+                frame.province[r],
+                frame.vehicle[r],
+                frame.label[r],
+            );
+            world
+                .push(frame.row(r), 2020, h, p, v, l)
+                .expect("row fits");
+        }
+    }
+    std::fs::write(&world_path, world.to_bytes()).expect("world file");
+    train_lightmirm(&world_path, &model);
+
+    run_ok(&[
+        "serve-replay",
+        "--model",
+        &model,
+        "--data",
+        world_path.to_str().unwrap(),
+        "--out",
+        replay.to_str().unwrap(),
+        "--chunk",
+        "1",
+        "--grid",
+        "5",
+        "--shards",
+        "2",
+        "--adapt",
+        "--adapt-every",
+        "2",
+        // Observation only: no retrain is ever due.
+        "--adapt-min-rows",
+        "1000000",
+    ]);
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&replay).expect("replay file"))
+            .expect("replay JSON");
+    let engines = report["shard_engines"].as_array().expect("shard_engines");
+    let blocks = report["adapt"].as_array().expect("adapt blocks");
+    for (engine, block) in engines.iter().zip(blocks) {
+        let requests = engine["requests"].as_u64().expect("requests");
+        assert_eq!(requests, pairs as u64, "{report}");
+        assert_eq!(block["steps"].as_u64(), Some(requests / 2), "{report}");
+    }
 }

@@ -272,3 +272,165 @@ fn score_drift_out_writes_report_and_baseline_cols_zero_monitors_scores_only() {
             .iter()
             .all(|s| s["signal"] == "score")));
 }
+
+/// Train the small LightMIRM bundle the stream tests replay.
+fn train_model(world: &Path, model: &str) {
+    run_ok(&[
+        "train",
+        "--data",
+        world.to_str().unwrap(),
+        "--out",
+        model,
+        "--method",
+        "lightmirm",
+        "--trees",
+        "6",
+        "--epochs",
+        "8",
+    ]);
+}
+
+/// Run `serve-replay` over the controlled world with `extra` flags and
+/// return its console output and report.
+fn replay_with(
+    world: &Path,
+    model: &str,
+    out: &Path,
+    extra: &[&str],
+) -> (String, serde_json::Value) {
+    let mut args = vec![
+        "serve-replay",
+        "--model",
+        model,
+        "--data",
+        world.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--chunk",
+        "7",
+        "--grid",
+        "5",
+    ];
+    args.extend_from_slice(extra);
+    let msg = run_ok(&args);
+    let report = serde_json::from_str(&std::fs::read_to_string(out).expect("replay file"))
+        .expect("replay JSON");
+    (msg, report)
+}
+
+/// The replay figures that must not depend on how the stream is served.
+fn replay_figures(report: &serde_json::Value) -> [&serde_json::Value; 4] {
+    [
+        &report["curve"],
+        &report["rows"],
+        &report["incumbent_threshold"],
+        &report["incumbent_bad_debt"],
+    ]
+}
+
+#[test]
+fn serve_replay_at_three_shards_matches_one_shard() {
+    let dir = tdir("shards3");
+    let world = dir.join("world.bin");
+    let model = dir.join("model.json").to_string_lossy().into_owned();
+    controlled_world(&world);
+    train_model(&world, &model);
+
+    let (_, one) = replay_with(&world, &model, &dir.join("one.json"), &[]);
+    let (msg, three) = replay_with(&world, &model, &dir.join("three.json"), &["--shards", "3"]);
+    assert_eq!(replay_figures(&one), replay_figures(&three));
+    assert!(
+        one["curve"].as_array().is_some_and(|c| c.len() == 6),
+        "{one}"
+    );
+
+    // One engine reports under `engine`; a fleet per shard, and the
+    // shards together served exactly the lone engine's requests.
+    assert_eq!(three["shards"].as_u64(), Some(3), "{three}");
+    let engines = three["shard_engines"].as_array().expect("shard_engines");
+    assert_eq!(engines.len(), 3);
+    let requests: u64 = engines
+        .iter()
+        .map(|e| e["requests"].as_u64().expect("requests"))
+        .sum();
+    assert_eq!(Some(requests), one["engine"]["requests"].as_u64());
+    assert_eq!(msg.matches("engine (shard ").count(), 3, "{msg}");
+}
+
+#[test]
+fn sharded_reload_reaches_every_shard_and_keeps_the_curve() {
+    let dir = tdir("shards-reload");
+    let world = dir.join("world.bin");
+    let model = dir.join("model.json").to_string_lossy().into_owned();
+    controlled_world(&world);
+    train_model(&world, &model);
+
+    // Reloading the serving bundle itself: the probe passes, every
+    // shard swaps, and the scores (so the curve) cannot change.
+    let reload = ["--reload-model", model.as_str()];
+    let (msg, one) = replay_with(&world, &model, &dir.join("one.json"), &reload);
+    assert!(
+        msg.contains(&format!("hot-reloaded bundle from {model}\n")),
+        "{msg}"
+    );
+    let mut two_flags = reload.to_vec();
+    two_flags.extend(["--shards", "2"]);
+    let (msg, two) = replay_with(&world, &model, &dir.join("two.json"), &two_flags);
+    assert!(msg.contains("on all 2 shards"), "{msg}");
+    assert_eq!(replay_figures(&one), replay_figures(&two));
+    for engine in two["shard_engines"].as_array().expect("shard_engines") {
+        assert_eq!(engine["reloads"].as_u64(), Some(1), "{engine}");
+    }
+}
+
+#[test]
+fn sharded_drift_out_writes_one_report_per_shard() {
+    let dir = tdir("shards-drift");
+    let world = dir.join("world.bin");
+    let model = dir.join("model.json").to_string_lossy().into_owned();
+    let drift = dir.join("drift.json");
+    let (stable_p, shifted_p) = controlled_world(&world);
+    train_model(&world, &model);
+
+    let (msg, _) = replay_with(
+        &world,
+        &model,
+        &dir.join("replay.json"),
+        &["--shards", "2", "--drift-out", drift.to_str().unwrap()],
+    );
+    assert!(msg.contains("per-shard drift report (2 shards)"), "{msg}");
+    let doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&drift).expect("drift file"))
+            .expect("drift JSON");
+    let reports = doc["shards"].as_array().expect("{\"shards\": [...]}");
+    assert_eq!(reports.len(), 2, "{doc}");
+    // A chunk routes by its first row's province, so a province may be
+    // seen by either shard; every shard that checked it gives the
+    // single-engine verdict.
+    let verdicts = |env: u16| -> Vec<BTreeMap<String, String>> {
+        reports
+            .iter()
+            .filter(|r| {
+                r["envs"].as_array().expect("envs").iter().any(|e| {
+                    e["env_id"].as_u64() == Some(u64::from(env))
+                        && e["checks"].as_u64().unwrap_or(0) >= 1
+                })
+            })
+            .map(|r| signal_levels(r, env))
+            .collect()
+    };
+    let stable = verdicts(stable_p);
+    assert!(!stable.is_empty(), "{doc}");
+    assert!(
+        stable
+            .iter()
+            .flat_map(|s| s.values())
+            .all(|l| l == "Stable"),
+        "{stable:?}"
+    );
+    let shifted = verdicts(shifted_p);
+    assert!(
+        shifted.iter().any(|s| s.values().any(|l| l == "Major")),
+        "{shifted:?}"
+    );
+}
